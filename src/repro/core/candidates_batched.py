@@ -11,10 +11,11 @@ work moves into **build-time array layouts** plus vectorised queries:
 * :class:`InternedCandidateTables` interns entity / type / relation ids to
   dense integers once per catalog and packs the derived structure the hot
   paths need — per-entity type-ancestor arrays (ragged: offsets + flat),
-  per-type IDF specificity, a sorted ``(subject, object) → relations`` pair
-  table and per-relation tuple-key arrays with functionality flags.  The
-  tables serialize to flat arrays (:meth:`InternedCandidateTables.to_state`)
-  and ship inside artifact bundles, so warm servers skip this build too.
+  with each ancestor's distance ``dist(E, T)``, per-type IDF specificity, a
+  sorted ``(subject, object) → relations`` pair table and per-relation
+  tuple-key arrays with functionality flags.  The tables serialize to flat
+  arrays (:meth:`InternedCandidateTables.to_state`) and ship inside
+  artifact bundles, so warm servers skip this build too.
 * :class:`BatchedCandidateEngine` is a drop-in ``CandidateGenerator``:
   ``Erc`` comes from :meth:`~repro.text.index.InvertedIndex.search_batch`
   (all distinct non-numeric cells of a table scored at once in compact id
@@ -24,7 +25,8 @@ work moves into **build-time array layouts** plus vectorised queries:
 * :class:`BatchedFeatureComputer` extends the scalar
   :class:`~repro.core.problem.FeatureComputer` with vectorised *assembly*:
   f1/f2 run the profiled similarity battery (:mod:`repro.text.profile`),
-  f3 grids gather from one interned (type × entity) matrix, and f5 grids are
+  f3 blocks are one gather from a dense (type × entity) grid that an array
+  program computes once when the computer is built, and f5 grids are
   ``searchsorted`` membership tests over per-relation tuple keys.
 
 Everything is value-equivalent to the scalar path — identical candidate ids,
@@ -41,6 +43,7 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
+import scipy.sparse
 
 from repro.catalog.catalog import Catalog
 from repro.core.candidates import CandidateEntity, CandidateGenerator
@@ -55,9 +58,9 @@ from repro.text.profile import (
     text_lemma_features_profiled,
 )
 
-#: Dense-f3-matrix ceiling: above this many (type × entity) pairs the
-#: interned grid would dominate memory, so f3 assembly falls back to the
-#: scalar per-pair cache.
+#: Dense-f3-grid ceiling: above this many (type × entity) pairs the
+#: interned grid would dominate memory, so it is not built and f3 assembly
+#: falls back to the scalar per-pair cache.
 MAX_DENSE_F3_CELLS = 8_000_000
 
 #: Bound on the per-row-pair relation memo and the cell-text profile cache.
@@ -105,6 +108,7 @@ class InternedCandidateTables:
         relation_ids: tuple[str, ...],
         anc_offsets: np.ndarray,
         anc_flat: np.ndarray,
+        anc_distance: np.ndarray,
         type_specificity: np.ndarray,
         pair_keys: np.ndarray,
         pair_offsets: np.ndarray,
@@ -123,6 +127,9 @@ class InternedCandidateTables:
         #: entity i's type ancestors: ``anc_flat[anc_offsets[i]:anc_offsets[i+1]]``
         self.anc_offsets = anc_offsets
         self.anc_flat = anc_flat
+        #: ``dist(E, T)`` per ancestor, aligned with ``anc_flat``; an
+        #: entity's direct types are its ancestors at distance 1
+        self.anc_distance = anc_distance
         #: ``catalog.type_idf_specificity`` per interned type
         self.type_specificity = type_specificity
         #: sorted unique directed pair keys (``subject·N + object``); the
@@ -147,22 +154,47 @@ class InternedCandidateTables:
         entity_index = {e: i for i, e in enumerate(entity_ids)}
         type_index = {t: i for i, t in enumerate(type_ids)}
 
+        # one upward BFS per type: hops[t] maps every ancestor of t (t
+        # included, at 0) to the shortest ⊆-path length, which is what
+        # TypeHierarchy.hops_up returns pair by pair
+        hops: list[dict[int, int]] = []
+        for type_id in type_ids:
+            reached = {type_index[type_id]: 0}
+            frontier = [type_id]
+            depth = 0
+            while frontier:
+                depth += 1
+                next_frontier = []
+                for current in frontier:
+                    for parent in sorted(catalog.types.parents(current)):
+                        parent_int = type_index[parent]
+                        if parent_int not in reached:
+                            reached[parent_int] = depth
+                            next_frontier.append(parent)
+                frontier = next_frontier
+            hops.append(reached)
+
+        # T(E) with dist(E, T) = 1 + min over direct types of the hop count
         anc_offsets = np.zeros(len(entity_ids) + 1, dtype=np.int64)
-        ancestor_arrays: list[np.ndarray] = []
+        flat_ancestors: list[int] = []
+        flat_distances: list[int] = []
         for i, entity_id in enumerate(entity_ids):
-            ancestors = sorted(
-                type_index[t] for t in catalog.type_ancestors(entity_id)
-            )
+            best: dict[int, int] = {}
+            for direct in catalog.entities.get(entity_id).direct_types:
+                for ancestor, count in hops[type_index[direct]].items():
+                    known = best.get(ancestor)
+                    if known is None or count < known:
+                        best[ancestor] = count
+            ancestors = sorted(best)
             anc_offsets[i + 1] = anc_offsets[i] + len(ancestors)
-            ancestor_arrays.append(np.asarray(ancestors, dtype=np.int64))
-        anc_flat = (
-            np.concatenate(ancestor_arrays)
-            if ancestor_arrays
-            else np.zeros(0, dtype=np.int64)
-        )
+            flat_ancestors.extend(ancestors)
+            flat_distances.extend(1 + best[ancestor] for ancestor in ancestors)
+        anc_flat = np.asarray(flat_ancestors, dtype=np.int64)
+        anc_distance = np.asarray(flat_distances, dtype=np.float64)
 
         type_specificity = np.array(
-            [catalog.type_idf_specificity(t) for t in type_ids]
+            [catalog.type_idf_specificity(t) for t in type_ids],
+            dtype=np.float64,
         )
 
         n_entities = len(entity_ids)
@@ -207,6 +239,7 @@ class InternedCandidateTables:
             relation_ids=relation_ids,
             anc_offsets=anc_offsets,
             anc_flat=anc_flat,
+            anc_distance=anc_distance,
             type_specificity=type_specificity,
             pair_keys=pair_keys,
             pair_offsets=pair_offsets,
@@ -230,7 +263,10 @@ class InternedCandidateTables:
             "relation_ids": list(self.relation_ids),
             "anc_offsets": self.anc_offsets,
             "anc_flat": self.anc_flat,
-            "type_specificity": self.type_specificity,
+            "anc_distance": self.anc_distance,
+            "type_specificity": np.asarray(
+                self.type_specificity, dtype=np.float64
+            ),
             "pair_keys": self.pair_keys,
             "pair_offsets": self.pair_offsets,
             "pair_relations": self.pair_relations,
@@ -247,7 +283,10 @@ class InternedCandidateTables:
             relation_ids=tuple(state["relation_ids"]),
             anc_offsets=np.asarray(state["anc_offsets"], dtype=np.int64),
             anc_flat=np.asarray(state["anc_flat"], dtype=np.int64),
-            type_specificity=np.asarray(state["type_specificity"]),
+            anc_distance=np.asarray(state["anc_distance"], dtype=np.float64),
+            type_specificity=np.asarray(
+                state["type_specificity"], dtype=np.float64
+            ),
             pair_keys=np.asarray(state["pair_keys"], dtype=np.int64),
             pair_offsets=np.asarray(state["pair_offsets"], dtype=np.int64),
             pair_relations=np.asarray(state["pair_relations"], dtype=np.int64),
@@ -506,20 +545,12 @@ class BatchedFeatureComputer(FeatureComputer):
         self._text_profiles = _BoundedMemo()
         self._entity_profiles: dict[str, tuple[TokenProfile, ...]] = {}
         self._type_profiles: dict[str, tuple[TokenProfile, ...]] = {}
-        # dense interned f3 grid (lazy; gated on catalog size)
-        n_cells = len(tables.type_ids) * len(tables.entity_ids)
-        self._f3_dense_enabled = 0 < n_cells <= MAX_DENSE_F3_CELLS
-        self._f3_values: np.ndarray | None = None
-        self._f3_known: np.ndarray | None = None
-        self._f3_init_lock = threading.Lock()
         self._participant_cache: dict[tuple[int, str], np.ndarray] = {}
-        # interned f3 element inputs, built on first dense f3 fill:
-        # normalised per-type IDF, the type-co-occurrence count matrix
-        # |E(T1) ∩ E(T2)| and per-entity direct-type int arrays
-        self._norm_idf: np.ndarray | None = None
-        self._type_overlap: np.ndarray | None = None
-        self._type_member_counts: np.ndarray | None = None
-        self._direct_type_ints: list[np.ndarray] | None = None
+        # dense interned f3 grid, built here once (gated on catalog size)
+        n_cells = len(tables.type_ids) * len(tables.entity_ids)
+        self._f3_dense: np.ndarray | None = (
+            self._build_f3_grid() if 0 < n_cells <= MAX_DENSE_F3_CELLS else None
+        )
 
     # -- profiles ---------------------------------------------------------
     def _text_profile(self, text: str) -> TokenProfile:
@@ -592,17 +623,79 @@ class BatchedFeatureComputer(FeatureComputer):
         return self._block(("f2", header_text, type_ids), build)
 
     # -- f3 ---------------------------------------------------------------
+    def _build_f3_grid(self) -> np.ndarray:
+        """Every f3 element, shape ``(n_types, n_entities, 3)``, read-only.
+
+        An array program over the interned tables that applies the
+        arithmetic of :func:`type_entity_features` elementwise, in the same
+        operation order (equivalence-tested bit-identical):
+
+        * ``distance[E, T] = dist(E, T)``, ``inf`` where ``E ∉+ T``;
+        * ``overlap[T', T] = |E(T') ∩ E(T)|`` as one integer-valued sparse
+          matmul over the entity→ancestor membership matrix
+          (``E ∈+ T ⇔ T ∈ T(E)``);
+        * relatedness, ``min`` over the direct types ``T'`` of ``E`` of
+          ``overlap[T', T] / |E(T')|``, as a gather plus
+          ``np.minimum.reduceat`` (0 for an entity with no direct types);
+        * ``min_instance_distance`` as the column minimum of ``distance``.
+        """
+        tables = self.engine.tables
+        n_entities = len(tables.entity_ids)
+        n_types = len(tables.type_ids)
+        owners = np.repeat(np.arange(n_entities), np.diff(tables.anc_offsets))
+        distance = np.full((n_entities, n_types), np.inf, dtype=np.float64)
+        distance[owners, tables.anc_flat] = tables.anc_distance
+        contained = np.isfinite(distance)
+        # sparse: an entity has a handful of ancestors, and a dense matmul
+        # would cost O(n_entities · n_types²)
+        membership = scipy.sparse.csr_matrix(
+            (np.ones(len(tables.anc_flat)), (owners, tables.anc_flat)),
+            shape=(n_entities, n_types),
+        )
+        overlap = (membership.T @ membership).toarray()
+        members = np.diagonal(overlap)
+
+        direct = tables.anc_distance == 1
+        direct_types = tables.anc_flat[direct]
+        direct_counts = np.bincount(owners[direct], minlength=n_entities)
+        has_direct = direct_counts > 0
+        ratios = overlap[direct_types] / members[direct_types, None]
+        starts = np.cumsum(direct_counts) - direct_counts
+        relatedness = np.zeros((n_entities, n_types), dtype=np.float64)
+        relatedness[has_direct] = np.minimum.reduceat(
+            ratios, starts[has_direct], axis=0
+        )
+
+        # the missing-link repair; an instance-less type (min_instance inf)
+        # needs none of the scalar path's overrides: its overlap column,
+        # hence its relatedness and scale, is all 0, and 0 / inf is 0
+        min_instance = distance.min(axis=0)
+        scale = np.where(contained, 1.0, relatedness)
+        effective = np.where(contained, distance, min_instance)
+        if self.mode is TypeEntityFeatureMode.INV_DIST:
+            distance_compat = scale / np.maximum(effective, 1.0)
+        elif self.mode is TypeEntityFeatureMode.INV_SQRT_DIST:
+            distance_compat = scale / np.sqrt(np.maximum(effective, 1.0))
+        else:  # IDF: specificity alone
+            distance_compat = np.zeros_like(scale)
+        # same expression as features._normalised_idf, hoisted per type
+        maximum = math.log(max(len(self.catalog.entities), 2))
+        norm_idf = tables.type_specificity / maximum
+
+        grid = np.empty((n_types, n_entities, 3), dtype=np.float64)
+        grid[:, :, 0] = distance_compat.T
+        grid[:, :, 1] = (scale * norm_idf).T
+        grid[:, :, 2] = contained.T
+        grid.flags.writeable = False
+        return grid
+
     def _f3_grid(
         self, type_ids: tuple[str, ...], entity_ids: tuple[str, ...]
     ) -> np.ndarray:
         tables = self.engine.tables
         type_ints = [tables.type_index.get(t) for t in type_ids]
         entity_ints = [tables.entity_index.get(e) for e in entity_ids]
-        if (
-            not self._f3_dense_enabled
-            or any(i is None for i in type_ints)
-            or any(i is None for i in entity_ints)
-        ):
+        if self._f3_dense is None or None in type_ints or None in entity_ints:
             # scalar assembly (still served by the per-pair element cache)
             return np.stack(
                 [
@@ -610,119 +703,11 @@ class BatchedFeatureComputer(FeatureComputer):
                     for t in type_ids
                 ]
             )
-        # reprolint: ignore[lock-unguarded-attr]: double-checked init gate —
-        # a stale None re-checks under _f3_init_lock below
-        if self._f3_values is None:
-            # double-checked init: _f3_values is the readiness gate and is
-            # published last, so lock-free readers never see partial state;
-            # the grid itself fills idempotently (deterministic values,
-            # value written before its known flag) outside the lock
-            with self._f3_init_lock:
-                if self._f3_values is None:
-                    shape = (len(tables.type_ids), len(tables.entity_ids))
-                    self._ensure_f3_inputs()
-                    self._f3_known = np.zeros(shape, dtype=bool)
-                    self._f3_values = np.zeros(shape + (3,), dtype=np.float64)
-        # reprolint: ignore[lock-unguarded-attr]: _f3_known exists whenever
-        # _f3_values does (both published under _f3_init_lock above)
-        assert self._f3_known is not None
-        type_index = np.asarray(type_ints, dtype=np.int64)
-        entity_index = np.asarray(entity_ints, dtype=np.int64)
-        # reprolint: ignore[lock-unguarded-attr]: a racing reader seeing a
-        # stale False just recomputes the same deterministic value below
-        known = self._f3_known[np.ix_(type_index, entity_index)]
-        if not known.all():
-            for t_pos, e_pos in zip(*np.nonzero(~known)):
-                t_int = int(type_index[t_pos])
-                e_int = int(entity_index[e_pos])
-                # reprolint: ignore[lock-unguarded-attr]: idempotent fill —
-                # every racer writes the identical deterministic value
-                self._f3_values[t_int, e_int] = self._f3_value(t_int, e_int)
-                # reprolint: ignore[lock-unguarded-attr]: flag set strictly
-                # after its value; worst case is one redundant recompute
-                self._f3_known[t_int, e_int] = True
-        # reprolint: ignore[lock-unguarded-attr]: every cell read here was
-        # made known (value-before-flag) by this or an earlier call
-        return self._f3_values[np.ix_(type_index, entity_index)]
-
-    def _ensure_f3_inputs(self) -> None:
-        """Intern everything :func:`type_entity_features` derives per call.
-
-        The co-occurrence matrix turns ``relatedness``'s per-call set
-        intersections into one integer matmul over the entity→ancestor
-        membership matrix: ``overlap[T', T] = |E(T') ∩ E(T)|`` exactly,
-        because ``E ∈+ T ⇔ T ∈ T(E)``.
-        """
-        tables = self.engine.tables
-        catalog = self.catalog
-        # same expression as features._normalised_idf, hoisted per type
-        maximum = math.log(max(len(catalog.entities), 2))
-        self._norm_idf = np.asarray(tables.type_specificity) / maximum
-        n_entities = len(tables.entity_ids)
-        n_types = len(tables.type_ids)
-        membership = np.zeros((n_entities, n_types), dtype=np.float64)
-        counts = np.diff(tables.anc_offsets)
-        membership[
-            np.repeat(np.arange(n_entities), counts), tables.anc_flat
-        ] = 1.0
-        self._type_overlap = membership.T @ membership
-        self._type_member_counts = np.diagonal(self._type_overlap).copy()
-        type_index = tables.type_index
-        self._direct_type_ints = [
-            np.asarray(
-                sorted(
-                    type_index[t]
-                    for t in catalog.entities.get(entity_id).direct_types
-                ),
-                dtype=np.int64,
-            )
-            for entity_id in tables.entity_ids
+        # the np.ix_ gather, spelled as a broadcast index to skip np.ix_'s
+        # per-call argument checks (f3 blocks are requested per cell)
+        return self._f3_dense[
+            np.array(type_ints, dtype=np.int64)[:, None], entity_ints
         ]
-
-    def _f3_value(self, t_int: int, e_int: int) -> tuple[float, float, float]:
-        """One f3 element from the interned inputs.
-
-        Term-for-term the arithmetic of :func:`type_entity_features`
-        (equivalence-tested bit-identical); only the lookups changed.
-        """
-        tables = self.engine.tables
-        catalog = self.catalog
-        assert (
-            self._norm_idf is not None
-            and self._type_overlap is not None
-            and self._type_member_counts is not None
-            and self._direct_type_ints is not None
-        )
-        type_id = tables.type_ids[t_int]
-        distance = catalog.distance(tables.entity_ids[e_int], type_id)
-        contained = math.isfinite(distance)
-        if contained:
-            scale = 1.0
-            effective_distance = distance
-        else:
-            # relatedness: min over direct types of |E(T') ∩ E(T)| / |E(T')|
-            best = math.inf
-            for direct in self._direct_type_ints[e_int].tolist():
-                members = self._type_member_counts[direct]
-                overlap = (
-                    self._type_overlap[direct, t_int] / members
-                    if members
-                    else 0.0
-                )
-                best = min(best, overlap)
-            scale = 0.0 if best is math.inf else float(best)
-            effective_distance = catalog.min_instance_distance(type_id)
-            if not math.isfinite(effective_distance):
-                scale = 0.0
-                effective_distance = 1.0
-        if self.mode is TypeEntityFeatureMode.INV_DIST:
-            distance_compat = scale / max(effective_distance, 1.0)
-        elif self.mode is TypeEntityFeatureMode.INV_SQRT_DIST:
-            distance_compat = scale / math.sqrt(max(effective_distance, 1.0))
-        else:  # IDF: specificity alone
-            distance_compat = 0.0
-        idf_specificity = scale * self._norm_idf[t_int]
-        return distance_compat, idf_specificity, 1.0 if contained else 0.0
 
     def f3_block(
         self, type_ids: tuple[str, ...], entity_ids: tuple[str, ...]

@@ -13,8 +13,8 @@ serializes everything the query path needs —
   scores included),
 * the annotated table index's frozen header/context text indexes, and
 * the batched candidate engine's **interned candidate tables** (entity /
-  type / relation id interning, type-ancestor arrays, packed pair→relations
-  and per-relation tuple keys — see
+  type / relation id interning, type-ancestor and ancestor-distance arrays,
+  packed pair→relations and per-relation tuple keys — see
   :class:`~repro.core.candidates_batched.InternedCandidateTables`), so a warm
   server skips that build exactly as it skips ``freeze()``,
 
@@ -23,8 +23,9 @@ content hashes and build statistics.  ``load_bundle`` verifies and restores
 all of it; startup cost drops from "re-annotate the corpus" to "read
 arrays" (the Figure-7 bench measures the ratio).
 
-Bundle layout (format version 2 — version-1 bundles predate the candidate
-tables and are rejected with a rebuild hint)::
+Bundle layout (format version 3 — older bundles are rejected with a
+rebuild hint: version 1 predates the candidate tables, version 2 lacks the
+per-ancestor type distances)::
 
     bundle/
       manifest.json          version, hashes, identity, build stats
@@ -37,6 +38,7 @@ tables and are rejected with a rebuild hint)::
       indexes/<name>.<field>.npy   offsets / doc_ids / weights / idf / doc_norm
       candidates/interned.meta.json    entity / type / relation id lists
       candidates/interned.<field>.npy  ancestor / pair / tuple arrays
+      candidates/interned.anc_distance.npy  dist(E, T) per ancestor
 
 where ``<name>`` is ``lemma``, ``header`` or ``context``.
 """
@@ -64,7 +66,7 @@ from repro.tables.model import LabeledTable, Table
 from repro.text.index import InvertedIndex
 from repro.text.tfidf import TfidfWeights
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 TEXT_INDEX_NAMES = ("lemma", "header", "context")
 _INDEX_FIELDS = ("offsets", "doc_ids", "weights", "idf", "doc_norm")
@@ -72,6 +74,7 @@ _CANDIDATE_META_FIELDS = ("entity_ids", "type_ids", "relation_ids")
 _CANDIDATE_ARRAY_FIELDS = (
     "anc_offsets",
     "anc_flat",
+    "anc_distance",
     "type_specificity",
     "pair_keys",
     "pair_offsets",

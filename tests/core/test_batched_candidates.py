@@ -14,13 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catalog.builder import CatalogBuilder
+from repro.catalog.errors import UnknownIdError
+from repro.core import candidates_batched
 from repro.core.annotator import AnnotatorConfig, TableAnnotator
 from repro.core.candidates import CandidateGenerator
 from repro.core.candidates_batched import (
     BatchedCandidateEngine,
+    BatchedFeatureComputer,
     InternedCandidateTables,
 )
+from repro.core.features import TypeEntityFeatureMode, type_entity_features
 from repro.core.model import default_model
+from repro.core.problem import FeatureComputer
 from repro.pipeline.io import annotation_to_dict
 from repro.tables.model import Table
 
@@ -139,8 +145,6 @@ class TestDirectQueries:
         _scalar, batched = pair
         from repro.core.candidates import CandidateEntity
 
-        from repro.catalog.errors import UnknownIdError
-
         ghost = [[CandidateEntity("ent:not-in-catalog", 1.0)]]
         with pytest.raises(UnknownIdError):
             # the scalar reference raises on unknown ids; the batched engine
@@ -194,6 +198,174 @@ class TestHypothesisTables:
         )
 
 
+def edge_catalog():
+    """Every branch of f3 in one small catalog.
+
+    * ``type:lonely`` has no instances at all (``min_instance_distance`` is
+      ``inf``, so the repair is switched off);
+    * ``ent:drifter`` has no direct types (relatedness 0);
+    * the type DAG holds a diamond, ``a ⊆ b ⊆ top`` against
+      ``a ⊆ c ⊆ mid ⊆ top``, so only the shortest hop count is right;
+    * ``type:top`` and ``type:mid`` have no direct instances (their
+      ``min_instance_distance`` exceeds 1), and ``type:side`` shares one
+      member with ``type:a`` (a fractional relatedness).
+    """
+    return (
+        CatalogBuilder(name="f3-edges")
+        .type("type:top", "top")
+        .type("type:mid", "mid", parents=["type:top"])
+        .type("type:b", "bee", parents=["type:top"])
+        .type("type:c", "sea", parents=["type:mid"])
+        .type("type:a", "ay", parents=["type:b", "type:c"])
+        .type("type:side", "side")
+        .type("type:lonely", "lonely", parents=["type:side"])
+        .entity("ent:deep", ["Deep One"], types=["type:a"])
+        .entity("ent:both", ["Both Ways"], types=["type:a", "type:side"])
+        .entity("ent:upper", ["Upper Hand"], types=["type:c", "type:a"])
+        .entity("ent:aside", ["Aside Story"], types=["type:side"])
+        .entity("ent:drifter", ["Drifter"])
+        .build()
+    )
+
+
+def assert_dense_f3_matches_scalar(catalog):
+    """The dense grid equals scalar f3 bit for bit, on every pair and mode."""
+    generator = CandidateGenerator(catalog)
+    engine = BatchedCandidateEngine(generator)
+    type_ids = engine.tables.type_ids
+    entity_ids = engine.tables.entity_ids
+    for mode in TypeEntityFeatureMode:
+        features = BatchedFeatureComputer(catalog, mode, generator, engine)
+        assert features._f3_dense is not None
+        grid = features.f3_block(type_ids, entity_ids)
+        expected = np.stack(
+            [
+                np.stack(
+                    [
+                        type_entity_features(catalog, type_id, entity_id, mode)
+                        for entity_id in entity_ids
+                    ]
+                )
+                for type_id in type_ids
+            ]
+        )
+        assert grid.dtype == expected.dtype == np.float64
+        assert np.array_equal(grid.view(np.uint64), expected.view(np.uint64)), mode
+
+
+@st.composite
+def type_dag_catalogs(draw):
+    """Small random catalogs: a type DAG plus entities with direct types.
+
+    Edges only point from a type to a lower-numbered one, so the hierarchy
+    stays acyclic; entities may have zero, one or several direct types.
+    """
+    n_types = draw(st.integers(min_value=1, max_value=7))
+    builder = CatalogBuilder(name="random-dag")
+    if not draw(st.booleans()):
+        builder.without_root()
+    for child in range(n_types):
+        parents = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=child - 1),
+                unique=True,
+                max_size=3,
+            )
+            if child
+            else st.just([])
+        )
+        builder.type(
+            f"type:t{child}", f"kind {child}", parents=[f"type:t{p}" for p in parents]
+        )
+    n_entities = draw(st.integers(min_value=1, max_value=8))
+    for entity in range(n_entities):
+        direct = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n_types - 1),
+                unique=True,
+                max_size=3,
+            )
+        )
+        builder.entity(
+            f"ent:e{entity}",
+            [f"thing {entity}"],
+            types=[f"type:t{t}" for t in direct],
+        )
+    return builder.build()
+
+
+class TestDenseF3Grid:
+    """The build-time f3 grid against scalar ``type_entity_features``."""
+
+    def test_book_catalog(self, book_catalog):
+        assert_dense_f3_matches_scalar(book_catalog)
+
+    def test_synthetic_world_with_dropped_links(self, world):
+        assert_dense_f3_matches_scalar(world.annotator_view)
+
+    def test_edge_catalog(self):
+        catalog = edge_catalog()
+        # the edges the catalog exists for are really there
+        assert catalog.min_instance_distance("type:lonely") == float("inf")
+        assert catalog.min_instance_distance("type:top") == 3
+        assert catalog.distance("ent:deep", "type:top") == 3
+        assert catalog.distance("ent:upper", "type:mid") == 2
+        assert 0 < catalog.relatedness("ent:aside", "type:a") < 1
+        assert catalog.relatedness("ent:drifter", "type:a") == 0.0
+        assert_dense_f3_matches_scalar(catalog)
+
+    @settings(max_examples=40, deadline=None)
+    @given(catalog=type_dag_catalogs())
+    def test_random_type_dags(self, catalog):
+        assert_dense_f3_matches_scalar(catalog)
+
+    def test_grid_is_read_only(self, book_catalog):
+        generator = CandidateGenerator(book_catalog)
+        engine = BatchedCandidateEngine(generator)
+        features = BatchedFeatureComputer(
+            book_catalog, TypeEntityFeatureMode.INV_DIST, generator, engine
+        )
+        assert not features._f3_dense.flags.writeable
+        block = features.f3_block(
+            ("type:author",), ("ent:einstein", "ent:stannard")
+        )
+        block[...] = -1.0  # a caller's block is its own copy
+        assert features.f3_block(("type:author",), ("ent:einstein",))[0, 0, 2] == 1.0
+
+    def test_over_ceiling_catalog_uses_scalar_path(self, world, monkeypatch):
+        catalog = world.annotator_view
+        generator = CandidateGenerator(catalog)
+        engine = BatchedCandidateEngine(generator)
+        n_cells = len(engine.tables.type_ids) * len(engine.tables.entity_ids)
+        monkeypatch.setattr(
+            candidates_batched, "MAX_DENSE_F3_CELLS", n_cells - 1
+        )
+
+        def no_grid(self):
+            raise AssertionError("dense f3 grid built above the ceiling")
+
+        monkeypatch.setattr(BatchedFeatureComputer, "_build_f3_grid", no_grid)
+        mode = TypeEntityFeatureMode.INV_SQRT_DIST
+        features = BatchedFeatureComputer(catalog, mode, generator, engine)
+        assert features._f3_dense is None
+        scalar = FeatureComputer(catalog, mode, generator)
+        type_ids = engine.tables.type_ids[:12]
+        entity_ids = engine.tables.entity_ids[:30]
+        assert np.array_equal(
+            features.f3_block(type_ids, entity_ids),
+            scalar.f3_block(type_ids, entity_ids),
+        )
+
+    def test_unknown_entity_falls_back_to_scalar(self, book_catalog):
+        generator = CandidateGenerator(book_catalog)
+        engine = BatchedCandidateEngine(generator)
+        features = BatchedFeatureComputer(
+            book_catalog, TypeEntityFeatureMode.INV_DIST, generator, engine
+        )
+        with pytest.raises(UnknownIdError):
+            features.f3_block(("type:author",), ("ent:not-in-catalog",))
+
+
 class TestInternedTables:
     def test_state_round_trip(self, world):
         tables = InternedCandidateTables.from_catalog(world.annotator_view)
@@ -206,6 +378,7 @@ class TestInternedTables:
         for field in (
             "anc_offsets",
             "anc_flat",
+            "anc_distance",
             "type_specificity",
             "pair_keys",
             "pair_offsets",
@@ -214,6 +387,10 @@ class TestInternedTables:
             "tuple_keys_by_relation",
         ):
             assert np.array_equal(state[field], state_again[field]), field
+            assert state[field].dtype == state_again[field].dtype, field
+        assert state["anc_distance"].dtype == np.float64
+        assert state["type_specificity"].dtype == np.float64
+        assert state["anc_distance"].shape == state["anc_flat"].shape
 
     def test_restored_tables_drive_identical_engine(self, world, wiki_tables):
         generator = CandidateGenerator(world.annotator_view, top_k_entities=TOP_K)

@@ -88,6 +88,7 @@ class TestCandidateTables:
         for field in (
             "anc_offsets",
             "anc_flat",
+            "anc_distance",
             "type_specificity",
             "pair_keys",
             "pair_offsets",
@@ -98,6 +99,36 @@ class TestCandidateTables:
             assert np.array_equal(
                 getattr(restored, field), getattr(built, field)
             ), field
+
+    def test_mmap_loaded_tables_yield_fresh_f3_grid(
+        self, loaded_bundle, tiny_world
+    ):
+        import numpy as np
+
+        from repro.core.candidates import CandidateGenerator
+        from repro.core.candidates_batched import (
+            BatchedCandidateEngine,
+            BatchedFeatureComputer,
+            InternedCandidateTables,
+        )
+
+        state = loaded_bundle.candidate_state
+        assert isinstance(state["anc_distance"], np.memmap)
+        catalog = tiny_world.annotator_view
+        generator = CandidateGenerator(catalog)
+        grids = []
+        for tables in (
+            InternedCandidateTables.from_state(state),
+            InternedCandidateTables.from_catalog(catalog),
+        ):
+            features = BatchedFeatureComputer(
+                catalog,
+                loaded_bundle.model.mode,
+                generator,
+                BatchedCandidateEngine(generator, tables=tables),
+            )
+            grids.append(features.f3_block(tables.type_ids, tables.entity_ids))
+        assert grids[0].tobytes() == grids[1].tobytes()
 
     def test_bundle_session_reuses_candidate_state(self, bundle_dir):
         from repro.api.session import ReproSession
@@ -191,6 +222,15 @@ class TestRejection:
         payload["format_version"] = FORMAT_VERSION + 1
         manifest_path.write_text(json.dumps(payload))
         with pytest.raises(BundleVersionError, match="format version"):
+            load_bundle(copied_bundle)
+
+    def test_v2_bundle_rejected_with_rebuild_hint(self, copied_bundle):
+        # version 2 bundles predate candidates/interned.anc_distance.npy
+        manifest_path = copied_bundle / "manifest.json"
+        payload = json.loads(manifest_path.read_text())
+        payload["format_version"] = 2
+        manifest_path.write_text(json.dumps(payload))
+        with pytest.raises(BundleVersionError, match="repro bundle build"):
             load_bundle(copied_bundle)
 
     def test_corrupted_file_rejected(self, copied_bundle):
