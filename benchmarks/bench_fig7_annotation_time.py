@@ -90,6 +90,7 @@ def test_fig7_annotation_time(
             "cache_hits": report.cache_hits,
             "cache_raw_hits": report.cache_raw_hits,
             "cache_normalized_hits": report.cache_normalized_hits,
+            "cpu_count": os.cpu_count(),
         },
     )
 
@@ -221,11 +222,11 @@ def test_fig7_candidate_engine_speedup(
     With inference batched (PR 2), candidate generation is ~90% of per-table
     time.  The batched candidate engine moves that stage onto build-time
     array layouts — batch retrieval in compact id space, interned ancestor /
-    pair tables, profiled similarity batteries, dense f3 gathers — and must
-    run the *candidate stage* (``build_problem``: retrieval + candidate
-    spaces + feature assembly) at least 2x faster than the scalar per-cell
-    reference (target 3x; measured ~4.6x locally) while producing
-    byte-identical annotations.
+    pair tables, one similarity array program per table, dense f3 gathers
+    per column — and must run the *candidate stage* (``build_problem``:
+    retrieval + candidate spaces + feature assembly) at least 2x faster
+    than the scalar per-cell reference (target 3x; measured ~4.6x locally)
+    while producing byte-identical annotations.
     """
     tables = (
         bench_datasets["web_manual"].tables + bench_datasets["wiki_link"].tables
@@ -294,6 +295,7 @@ def test_fig7_candidate_engine_speedup(
                 batched_report.candidate_fraction, 4
             ),
             "identical_annotations": batched_annotations == scalar_annotations,
+            "cpu_count": os.cpu_count(),
         },
     )
 

@@ -24,10 +24,12 @@ work moves into **build-time array layouts** plus vectorised queries:
   memoisation.
 * :class:`BatchedFeatureComputer` extends the scalar
   :class:`~repro.core.problem.FeatureComputer` with vectorised *assembly*:
-  f1/f2 run the profiled similarity battery (:mod:`repro.text.profile`),
-  f3 blocks are one gather from a dense (type × entity) grid that an array
-  program computes once when the computer is built, and f5 grids are
-  ``searchsorted`` membership tests over per-relation tuple keys.
+  f1 and f2 are each one call per table into the array kernel of
+  :mod:`repro.text.profile` (every (text, lemma) pair of the table's
+  block-cache misses scored by one numpy program), f3 is one call per
+  column that slices one gather from a dense (type × entity) grid computed
+  once when the computer is built, and f5 grids are ``searchsorted``
+  membership tests over per-relation tuple keys.
 
 Everything is value-equivalent to the scalar path — identical candidate ids,
 scores and ordering, bit-identical feature blocks, byte-identical
@@ -41,6 +43,8 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse
@@ -52,18 +56,14 @@ from repro.core.problem import FeatureComputer
 from repro.tables.generator import base_relation, reversed_label
 from repro.text.index import InvertedIndex
 from repro.text.normalize import is_numeric_text
-from repro.text.profile import (
-    JaroWinklerCache,
-    TokenProfile,
-    text_lemma_features_profiled,
-)
+from repro.text.profile import LemmaRun, LemmaVocabulary
 
 #: Dense-f3-grid ceiling: above this many (type × entity) pairs the
 #: interned grid would dominate memory, so it is not built and f3 assembly
-#: falls back to the scalar per-pair cache.
+#: falls back to the scalar per-pair cache, column by column.
 MAX_DENSE_F3_CELLS = 8_000_000
 
-#: Bound on the per-row-pair relation memo and the cell-text profile cache.
+#: Bound on the per-row-pair relation memo.
 _MEMO_ENTRIES = 65_536
 
 
@@ -392,13 +392,10 @@ class BatchedCandidateEngine:
     def intern_entity_ids(self, entity_ids) -> np.ndarray | None:
         """Interned ids of an entity-id sequence; None when any is unknown."""
         index = self.tables.entity_index
-        ints = np.zeros(len(entity_ids), dtype=np.int64)
-        for i, entity_id in enumerate(entity_ids):
-            interned = index.get(entity_id)
-            if interned is None:
-                return None
-            ints[i] = interned
-        return ints
+        ints = [index.get(entity_id) for entity_id in entity_ids]
+        if None in ints:
+            return None
+        return np.array(ints, dtype=np.int64)
 
     def _entity_ints(
         self, candidates: list[CandidateEntity]
@@ -525,10 +522,11 @@ class BatchedCandidateEngine:
 class BatchedFeatureComputer(FeatureComputer):
     """:class:`FeatureComputer` with vectorised block assembly.
 
-    The element features (f1..f5 per concrete label) are unchanged — the
-    batched paths produce bit-identical arrays, they just stop paying a
-    Python call per element.  Blocks still flow through ``block_cache`` when
-    the pipeline attaches one.
+    The feature values are unchanged — every block is bit-identical to the
+    scalar computer's — but each family is assembled as one array program
+    per table (f1, f2) or per column (f3) instead of one Python call per
+    element.  f1/f2 blocks still flow through ``block_cache`` when the
+    pipeline attaches one.
     """
 
     def __init__(
@@ -541,10 +539,9 @@ class BatchedFeatureComputer(FeatureComputer):
         super().__init__(catalog, mode, generator)
         self.engine = engine
         tables = engine.tables
-        self._jw = JaroWinklerCache()
-        self._text_profiles = _BoundedMemo()
-        self._entity_profiles: dict[str, tuple[TokenProfile, ...]] = {}
-        self._type_profiles: dict[str, tuple[TokenProfile, ...]] = {}
+        self._vocabulary = LemmaVocabulary(generator.lemma_tfidf)
+        self._entity_runs: dict[str, LemmaRun] = {}
+        self._type_runs: dict[str, LemmaRun] = {}
         self._participant_cache: dict[tuple[int, str], np.ndarray] = {}
         # dense interned f3 grid, built here once (gated on catalog size)
         n_cells = len(tables.type_ids) * len(tables.entity_ids)
@@ -552,75 +549,66 @@ class BatchedFeatureComputer(FeatureComputer):
             self._build_f3_grid() if 0 < n_cells <= MAX_DENSE_F3_CELLS else None
         )
 
-    # -- profiles ---------------------------------------------------------
-    def _text_profile(self, text: str) -> TokenProfile:
-        profile = self._text_profiles.get(text)
-        if profile is None:
-            profile = TokenProfile.from_text(text, self.generator.lemma_tfidf)
-            self._text_profiles.put(text, profile)
-        return profile
-
-    def _lemma_profiles(
-        self,
-        cache: dict[str, tuple[TokenProfile, ...]],
-        lemmas: tuple[str, ...],
-        key: str,
-    ) -> tuple[TokenProfile, ...]:
-        profiles = cache.get(key)
-        if profiles is None:
-            weights = self.generator.lemma_tfidf
-            profiles = tuple(
-                TokenProfile.from_text(lemma, weights) for lemma in lemmas
-            )
-            cache[key] = profiles
-        return profiles
-
     # -- f1 / f2 ----------------------------------------------------------
-    def f1_block(
-        self, cell_text: str, entity_ids: tuple[str, ...]
-    ) -> np.ndarray:
-        def build() -> np.ndarray:
-            profile = self._text_profile(cell_text)
-            rows = [
-                text_lemma_features_profiled(
-                    profile,
-                    self._lemma_profiles(
-                        self._entity_profiles,
-                        self.catalog.entities.lemmas(entity_id),
-                        entity_id,
-                    ),
-                    self._jw,
-                )
-                for entity_id in entity_ids
-            ]
-            return np.stack(rows)
+    def _lemma_runs(
+        self, cache: dict[str, LemmaRun], owner_ids: list[str], lemmas
+    ) -> list[LemmaRun]:
+        """Entities' or types' interned lemmas; the first use of an owner
+        interns it, all new owners of one call together.  Two threads may
+        both intern a new owner; either run holds the same values."""
+        missing = [o for o in dict.fromkeys(owner_ids) if o not in cache]
+        if missing:
+            runs = self._vocabulary.intern([lemmas(owner) for owner in missing])
+            cache.update(zip(missing, runs))
+        return [cache[owner] for owner in owner_ids]
 
-        return self._block(("f1", cell_text, entity_ids), build)
+    def _text_lemma_blocks(
+        self,
+        queries: list[tuple[str, tuple[str, ...]]],
+        cache: dict[str, LemmaRun],
+        lemmas,
+    ) -> list[np.ndarray]:
+        """``(text, owner ids)`` queries through the array kernel."""
+        runs = iter(
+            self._lemma_runs(cache, [o for _text, ids in queries for o in ids], lemmas)
+        )
+        return self._vocabulary.feature_blocks(
+            [(text, [next(runs) for _ in ids]) for text, ids in queries]
+        )
+
+    def f1_block(
+        self, cells: Sequence[tuple[str, tuple[str, ...]]]
+    ) -> list[np.ndarray]:
+        return self._blocks(
+            "f1",
+            cells,
+            lambda missing: self._text_lemma_blocks(
+                missing, self._entity_runs, self.catalog.entities.lemmas
+            ),
+        )
 
     def f2_block(
-        self, header_text: str | None, type_ids: tuple[str, ...]
-    ) -> np.ndarray:
-        def build() -> np.ndarray:
-            if header_text is None or not header_text.strip():
-                return np.stack(
-                    [self.f2(header_text, type_id) for type_id in type_ids]
-                )
-            profile = self._text_profile(header_text)
-            rows = [
-                text_lemma_features_profiled(
-                    profile,
-                    self._lemma_profiles(
-                        self._type_profiles,
-                        self.catalog.types.lemmas(type_id),
-                        type_id,
+        self, columns: Sequence[tuple[str | None, tuple[str, ...]]]
+    ) -> list[np.ndarray]:
+        def build(missing):
+            # an absent header keeps the scalar all-zero f2 (bias included)
+            headed = [query for query in missing if (query[0] or "").strip()]
+            scored = dict(
+                zip(
+                    headed,
+                    self._text_lemma_blocks(
+                        headed, self._type_runs, self.catalog.types.lemmas
                     ),
-                    self._jw,
                 )
-                for type_id in type_ids
+            )
+            return [
+                scored[query]
+                if query in scored
+                else np.stack([self.f2(query[0], t) for t in query[1]])
+                for query in missing
             ]
-            return np.stack(rows)
 
-        return self._block(("f2", header_text, type_ids), build)
+        return self._blocks("f2", columns, build)
 
     # -- f3 ---------------------------------------------------------------
     def _build_f3_grid(self) -> np.ndarray:
@@ -689,33 +677,31 @@ class BatchedFeatureComputer(FeatureComputer):
         grid.flags.writeable = False
         return grid
 
-    def _f3_grid(
-        self, type_ids: tuple[str, ...], entity_ids: tuple[str, ...]
-    ) -> np.ndarray:
+    def f3_block(
+        self, type_ids: tuple[str, ...], rows: Sequence[tuple[str, ...]]
+    ) -> list[np.ndarray]:
+        """One gather from the dense grid over the column's concatenated
+        entity ints; the per-row grids are slices of it."""
         tables = self.engine.tables
         type_ints = [tables.type_index.get(t) for t in type_ids]
-        entity_ints = [tables.entity_index.get(e) for e in entity_ids]
-        if self._f3_dense is None or None in type_ints or None in entity_ints:
-            # scalar assembly (still served by the per-pair element cache)
-            return np.stack(
-                [
-                    np.stack([self.f3(t, e) for e in entity_ids])
-                    for t in type_ids
-                ]
-            )
-        # the np.ix_ gather, spelled as a broadcast index to skip np.ix_'s
-        # per-call argument checks (f3 blocks are requested per cell)
-        return self._f3_dense[
-            np.array(type_ints, dtype=np.int64)[:, None], entity_ints
-        ]
-
-    def f3_block(
-        self, type_ids: tuple[str, ...], entity_ids: tuple[str, ...]
-    ) -> np.ndarray:
-        return self._block(
-            ("f3", type_ids, entity_ids),
-            lambda: self._f3_grid(type_ids, entity_ids),
+        entity_ints = self.engine.intern_entity_ids(
+            [entity_id for entity_ids in rows for entity_id in entity_ids]
         )
+        dense = self._f3_dense
+        if dense is None or None in type_ints or entity_ints is None:
+            # scalar assembly (still served by the per-pair element cache)
+            return super().f3_block(type_ids, rows)
+        # the np.ix_ gather as one take over flattened (type, entity) rows,
+        # a third of the cost of two-array fancy indexing
+        n_types, n_entities, width = dense.shape
+        flat = np.array(type_ints, dtype=np.int64)[:, None] * n_entities + entity_ints
+        grid = (
+            dense.reshape(n_types * n_entities, width)
+            .take(flat.reshape(-1), axis=0)
+            .reshape(len(type_ints), len(entity_ints), width)
+        )
+        bounds = list(accumulate((len(entity_ids) for entity_ids in rows), initial=0))
+        return [grid[:, start:stop] for start, stop in zip(bounds, bounds[1:])]
 
     # -- f5 ---------------------------------------------------------------
     def _f5_grid(

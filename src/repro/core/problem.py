@@ -17,6 +17,7 @@ learner re-scores the same problem under many weight vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -42,12 +43,14 @@ NA = None
 class FeatureComputer:
     """Feature evaluation against one catalog, with cross-table memoisation.
 
-    Two memoisation layers exist.  The element caches below (f1..f5 per
-    label) are always on, as in the seed implementation.  ``block_cache``,
-    when attached (the annotation pipeline does this), additionally memoises
-    whole *assembled* feature arrays keyed by the candidate-space tuples —
-    profiling shows the per-row stacking in :func:`build_problem`, not
-    retrieval, dominates candidate time on corpora with repeated cells.
+    Blocks are requested per table (f1, f2) or per column (f3), so one call
+    assembles a whole family for many cells.  Two memoisation layers exist.
+    Element caches keyed by catalog ids hold f3 per (type, entity), f4 per
+    (relation, type) side and f5 per (label, entity pair); they are always
+    on.  f1/f2 have no element cache.  ``block_cache``, when attached (the
+    annotation pipeline does this), additionally memoises assembled f1, f2,
+    f4 and f5 arrays keyed by the candidate-space tuples, so repeated cells
+    and headers skip assembly across tables.
     """
 
     def __init__(
@@ -79,38 +82,66 @@ class FeatureComputer:
             cache.put(key, cached)
         return cached
 
+    def _blocks(self, family: str, queries: Sequence[tuple], build) -> list:
+        """Per-query blocks through ``block_cache`` under ``(family, *query)``.
+
+        Each distinct query is probed once; ``build`` assembles every miss in
+        one call and returns their blocks in order.
+        """
+        cache = self.block_cache
+        keys = [(family, *query) for query in queries]
+        found = dict.fromkeys(keys)
+        if cache is not None:
+            for key in found:
+                found[key] = cache.get(key)
+        missing = [key for key, block in found.items() if block is None]
+        if missing:
+            for key, block in zip(missing, build([key[1:] for key in missing])):
+                found[key] = block
+                if cache is not None:
+                    cache.put(key, block)
+        return [found[key] for key in keys]
+
     # -- assembled blocks (keyed by candidate-space tuples) ---------------
     def f1_block(
-        self, cell_text: str, entity_ids: tuple[str, ...]
-    ) -> np.ndarray:
-        """f1 rows for one cell's candidate list, shape (n_entities, |f1|)."""
-        return self._block(
-            ("f1", cell_text, entity_ids),
-            lambda: np.stack([self.f1(cell_text, e) for e in entity_ids]),
+        self, cells: Sequence[tuple[str, tuple[str, ...]]]
+    ) -> list[np.ndarray]:
+        """f1 rows of every ``(cell text, candidate entity ids)`` of a table,
+        one array of shape (n_entities, |f1|) per cell."""
+        return self._blocks(
+            "f1",
+            cells,
+            lambda missing: [
+                np.stack([self.f1(cell_text, e) for e in entity_ids])
+                for cell_text, entity_ids in missing
+            ],
         )
 
     def f2_block(
-        self, header_text: str | None, type_ids: tuple[str, ...]
-    ) -> np.ndarray:
-        """f2 rows for one column's candidate types, shape (n_types, |f2|)."""
-        return self._block(
-            ("f2", header_text, type_ids),
-            lambda: np.stack([self.f2(header_text, t) for t in type_ids]),
+        self, columns: Sequence[tuple[str | None, tuple[str, ...]]]
+    ) -> list[np.ndarray]:
+        """f2 rows of every ``(header, candidate type ids)`` of a table, one
+        array of shape (n_types, |f2|) per column."""
+        return self._blocks(
+            "f2",
+            columns,
+            lambda missing: [
+                np.stack([self.f2(header_text, t) for t in type_ids])
+                for header_text, type_ids in missing
+            ],
         )
 
     def f3_block(
-        self, type_ids: tuple[str, ...], entity_ids: tuple[str, ...]
-    ) -> np.ndarray:
-        """f3 grid for one cell, shape (n_types, n_entities, |f3|)."""
-        return self._block(
-            ("f3", type_ids, entity_ids),
-            lambda: np.stack(
-                [
-                    np.stack([self.f3(t, e) for e in entity_ids])
-                    for t in type_ids
-                ]
-            ),
-        )
+        self, type_ids: tuple[str, ...], rows: Sequence[tuple[str, ...]]
+    ) -> list[np.ndarray]:
+        """f3 grids of one column, one per row's candidate entity ids, each
+        of shape (n_types, n_entities, |f3|)."""
+        return [
+            np.stack(
+                [np.stack([self.f3(t, e) for e in entity_ids]) for t in type_ids]
+            )
+            for entity_ids in rows
+        ]
 
     def f4_block(
         self,
@@ -342,7 +373,6 @@ def build_problem(
     relation get no variable.  ``max_column_pairs`` caps quadratic blow-up on
     very wide tables (the widest pairs by candidate support are kept).
     """
-    cells: dict[tuple[int, int], CellSpace] = {}
     column_candidates: dict[int, list[list[CandidateEntity]]] = {}
     # batch-capable generators (the batched candidate engine, the pipeline's
     # caching front) resolve every cell of the table in one retrieval pass;
@@ -357,6 +387,7 @@ def build_problem(
                 for row in range(table.n_rows)
             ]
         )
+    found: list[tuple[int, int, list[CandidateEntity], tuple[str, ...]]] = []
     for column in range(table.n_columns):
         per_row: list[list[CandidateEntity]] = []
         for row in range(table.n_rows):
@@ -367,41 +398,51 @@ def build_problem(
             )
             per_row.append(candidates)
             if candidates:
-                f1 = features.f1_block(
-                    table.cell(row, column),
-                    tuple(c.entity_id for c in candidates),
-                )
-                cells[(row, column)] = CellSpace(
-                    row=row,
-                    column=column,
-                    text=table.cell(row, column),
-                    candidates=candidates,
-                    labels=(NA,) + tuple(c.entity_id for c in candidates),
-                    f1=f1,
+                found.append(
+                    (row, column, candidates, tuple(c.entity_id for c in candidates))
                 )
         column_candidates[column] = per_row
+    # f1 for every cell of the table in one call
+    f1_blocks = features.f1_block(
+        [(table.cell(row, column), entity_ids) for row, column, _c, entity_ids in found]
+    )
+    cells: dict[tuple[int, int], CellSpace] = {}
+    for (row, column, candidates, entity_ids), f1 in zip(found, f1_blocks):
+        cells[(row, column)] = CellSpace(
+            row=row,
+            column=column,
+            text=table.cell(row, column),
+            candidates=candidates,
+            labels=(NA,) + entity_ids,
+            f1=f1,
+        )
 
-    columns: dict[int, ColumnSpace] = {}
+    typed: list[tuple[int, tuple[str, ...]]] = []
     for column in range(table.n_columns):
         type_ids = generator.column_type_candidates(column_candidates[column])
-        if not type_ids:
-            continue
-        header = table.header(column)
-        f2 = features.f2_block(header, tuple(type_ids))
+        if type_ids:
+            typed.append((column, tuple(type_ids)))
+    # f2 for every typed column in one call, f3 once per column
+    f2_blocks = features.f2_block(
+        [(table.header(column), type_ids) for column, type_ids in typed]
+    )
+    columns: dict[int, ColumnSpace] = {}
+    for (column, type_ids), f2 in zip(typed, f2_blocks):
         space = ColumnSpace(
             column=column,
-            header=header,
-            labels=(NA,) + tuple(type_ids),
+            header=table.header(column),
+            labels=(NA,) + type_ids,
             f2=f2,
         )
-        for row in range(table.n_rows):
-            cell = cells.get((row, column))
-            if cell is None:
-                continue
-            space.f3[row] = features.f3_block(
-                tuple(type_ids),
-                tuple(c.entity_id for c in cell.candidates),
+        rows = [row for row in range(table.n_rows) if (row, column) in cells]
+        space.f3 = dict(
+            zip(
+                rows,
+                features.f3_block(
+                    type_ids, [cells[(row, column)].labels[1:] for row in rows]
+                ),
             )
+        )
         columns[column] = space
 
     pairs: dict[tuple[int, int], PairSpace] = {}

@@ -152,23 +152,49 @@ class TestDirectQueries:
             batched.column_type_candidates(ghost)
 
 
-class TestHypothesisTables:
-    """Generated tables: arbitrary mixes of lemma, numeric and junk cells."""
+@st.composite
+def typos(draw, words: list[str]) -> str:
+    """A word with one adjacent swap, dropped or duplicated character."""
+    word = draw(st.sampled_from(words))
+    if len(word) < 2:
+        return word
+    i = draw(st.integers(min_value=0, max_value=len(word) - 2))
+    kind = draw(st.sampled_from(["swap", "drop", "duplicate"]))
+    if kind == "swap":
+        return word[:i] + word[i + 1] + word[i] + word[i + 2 :]
+    if kind == "drop":
+        return word[:i] + word[i + 1 :]
+    return word[:i] + word[i] + word[i:]
 
-    @settings(max_examples=20, deadline=None)
+
+class TestHypothesisTables:
+    """Generated tables: arbitrary mixes of exact and typo'd lemmas, numeric
+    and junk cells, cells repeated within the table and headers drawn from
+    type lemmas.  Typos reach soft-TF-IDF's 0.9 <= JW < 1 branch; repeats
+    reach the per-table dedupe of f1 blocks."""
+
+    @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_generated_tables_identical(self, data, engines, world):
         scalar, batched = engines
+        catalog = world.annotator_view
         lemmas: list[str] = []
-        for entity in list(world.annotator_view.entities.all_entities())[:60]:
+        for entity in list(catalog.entities.all_entities())[:60]:
             lemmas.extend(entity.lemmas)
-        cell = st.one_of(
+        type_lemmas = sorted(
+            {lemma for type_ in catalog.types.all_types() for lemma in type_.lemmas}
+        )
+        fresh_cell = st.one_of(
             st.sampled_from(lemmas),
+            typos(lemmas),
             st.sampled_from(["", "  ", "1984", "12%", "3,000 km", "zzz qqq"]),
             st.text(
                 alphabet="abz XYZ.',!0123456789", min_size=0, max_size=14
             ),
         )
+        # a small per-table pool, so cells repeat within the table
+        pool = data.draw(st.lists(fresh_cell, min_size=1, max_size=4))
+        cell = st.one_of(fresh_cell, st.sampled_from(pool))
         n_rows = data.draw(st.integers(min_value=1, max_value=5))
         n_columns = data.draw(st.integers(min_value=1, max_value=3))
         rows = data.draw(
@@ -180,7 +206,12 @@ class TestHypothesisTables:
         )
         headers = data.draw(
             st.lists(
-                st.one_of(st.none(), cell),
+                st.one_of(
+                    st.none(),
+                    cell,
+                    st.sampled_from(type_lemmas),
+                    typos(type_lemmas),
+                ),
                 min_size=n_columns,
                 max_size=n_columns,
             )
@@ -198,7 +229,7 @@ class TestHypothesisTables:
         )
 
 
-def edge_catalog():
+def edge_catalog(with_late_entity: bool = False):
     """Every branch of f3 in one small catalog.
 
     * ``type:lonely`` has no instances at all (``min_instance_distance`` is
@@ -209,8 +240,11 @@ def edge_catalog():
     * ``type:top`` and ``type:mid`` have no direct instances (their
       ``min_instance_distance`` exceeds 1), and ``type:side`` shares one
       member with ``type:a`` (a fractional relatedness).
+
+    ``with_late_entity`` adds ``ent:late``, an entity interned tables built
+    from the plain catalog do not know.
     """
-    return (
+    builder = (
         CatalogBuilder(name="f3-edges")
         .type("type:top", "top")
         .type("type:mid", "mid", parents=["type:top"])
@@ -224,8 +258,10 @@ def edge_catalog():
         .entity("ent:upper", ["Upper Hand"], types=["type:c", "type:a"])
         .entity("ent:aside", ["Aside Story"], types=["type:side"])
         .entity("ent:drifter", ["Drifter"])
-        .build()
     )
+    if with_late_entity:
+        builder.entity("ent:late", ["Late Comer"], types=["type:c"])
+    return builder.build()
 
 
 def assert_dense_f3_matches_scalar(catalog):
@@ -237,7 +273,7 @@ def assert_dense_f3_matches_scalar(catalog):
     for mode in TypeEntityFeatureMode:
         features = BatchedFeatureComputer(catalog, mode, generator, engine)
         assert features._f3_dense is not None
-        grid = features.f3_block(type_ids, entity_ids)
+        (grid,) = features.f3_block(type_ids, [entity_ids])
         expected = np.stack(
             [
                 np.stack(
@@ -326,11 +362,12 @@ class TestDenseF3Grid:
             book_catalog, TypeEntityFeatureMode.INV_DIST, generator, engine
         )
         assert not features._f3_dense.flags.writeable
-        block = features.f3_block(
-            ("type:author",), ("ent:einstein", "ent:stannard")
+        (block,) = features.f3_block(
+            ("type:author",), [("ent:einstein", "ent:stannard")]
         )
         block[...] = -1.0  # a caller's block is its own copy
-        assert features.f3_block(("type:author",), ("ent:einstein",))[0, 0, 2] == 1.0
+        (fresh,) = features.f3_block(("type:author",), [("ent:einstein",)])
+        assert fresh[0, 0, 2] == 1.0
 
     def test_over_ceiling_catalog_uses_scalar_path(self, world, monkeypatch):
         catalog = world.annotator_view
@@ -352,8 +389,8 @@ class TestDenseF3Grid:
         type_ids = engine.tables.type_ids[:12]
         entity_ids = engine.tables.entity_ids[:30]
         assert np.array_equal(
-            features.f3_block(type_ids, entity_ids),
-            scalar.f3_block(type_ids, entity_ids),
+            features.f3_block(type_ids, [entity_ids])[0],
+            scalar.f3_block(type_ids, [entity_ids])[0],
         )
 
     def test_unknown_entity_falls_back_to_scalar(self, book_catalog):
@@ -363,7 +400,72 @@ class TestDenseF3Grid:
             book_catalog, TypeEntityFeatureMode.INV_DIST, generator, engine
         )
         with pytest.raises(UnknownIdError):
-            features.f3_block(("type:author",), ("ent:not-in-catalog",))
+            features.f3_block(("type:author",), [("ent:not-in-catalog",)])
+
+
+class TestColumnF3:
+    """f3 blocks are assembled a column at a time: one gather over the
+    rows' concatenated entities, or the scalar fallback for the column."""
+
+    ROWS = [
+        ("ent:deep", "ent:both"),
+        ("ent:upper",),
+        ("ent:aside", "ent:drifter", "ent:deep"),
+        ("ent:both",),
+    ]
+
+    def assert_column_matches_scalar(self, features, scalar, type_ids, rows):
+        blocks = features.f3_block(type_ids, rows)
+        expected = scalar.f3_block(type_ids, rows)
+        assert len(blocks) == len(expected) == len(rows)
+        for entity_ids, block, reference in zip(rows, blocks, expected):
+            assert block.shape == (len(type_ids), len(entity_ids), 3)
+            assert np.array_equal(
+                block.view(np.uint64), reference.view(np.uint64)
+            ), entity_ids
+
+    def test_dense_column(self):
+        catalog = edge_catalog()
+        generator = CandidateGenerator(catalog)
+        engine = BatchedCandidateEngine(generator)
+        mode = TypeEntityFeatureMode.INV_SQRT_DIST
+        features = BatchedFeatureComputer(catalog, mode, generator, engine)
+        assert features._f3_dense is not None
+        scalar = FeatureComputer(catalog, mode, generator)
+        self.assert_column_matches_scalar(
+            features, scalar, engine.tables.type_ids, self.ROWS
+        )
+        assert features.f3_block(engine.tables.type_ids, []) == []
+
+    def test_unknown_entity_in_one_row(self):
+        """One row names an entity the interned tables do not know (the
+        catalog gained it after they were built): the whole column takes
+        the scalar path and still equals it row by row."""
+        catalog = edge_catalog(with_late_entity=True)
+        tables = InternedCandidateTables.from_catalog(edge_catalog())
+        generator = CandidateGenerator(catalog)
+        engine = BatchedCandidateEngine(generator, tables=tables)
+        mode = TypeEntityFeatureMode.INV_DIST
+        features = BatchedFeatureComputer(catalog, mode, generator, engine)
+        scalar = FeatureComputer(catalog, mode, generator)
+        rows = self.ROWS[:2] + [("ent:late", "ent:deep")] + self.ROWS[2:]
+        assert engine.intern_entity_ids([e for row in rows for e in row]) is None
+        self.assert_column_matches_scalar(
+            features, scalar, tables.type_ids, rows
+        )
+
+    def test_over_ceiling_column(self, monkeypatch):
+        catalog = edge_catalog()
+        generator = CandidateGenerator(catalog)
+        engine = BatchedCandidateEngine(generator)
+        monkeypatch.setattr(candidates_batched, "MAX_DENSE_F3_CELLS", 1)
+        mode = TypeEntityFeatureMode.IDF
+        features = BatchedFeatureComputer(catalog, mode, generator, engine)
+        assert features._f3_dense is None
+        scalar = FeatureComputer(catalog, mode, generator)
+        self.assert_column_matches_scalar(
+            features, scalar, engine.tables.type_ids, self.ROWS
+        )
 
 
 class TestInternedTables:

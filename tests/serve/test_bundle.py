@@ -127,7 +127,9 @@ class TestCandidateTables:
                 generator,
                 BatchedCandidateEngine(generator, tables=tables),
             )
-            grids.append(features.f3_block(tables.type_ids, tables.entity_ids))
+            grids.append(
+                features.f3_block(tables.type_ids, [tables.entity_ids])[0]
+            )
         assert grids[0].tobytes() == grids[1].tobytes()
 
     def test_bundle_session_reuses_candidate_state(self, bundle_dir):
